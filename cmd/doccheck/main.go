@@ -20,6 +20,12 @@
 // `cities.db` (a path) and `qt.Census` (a local variable) are skipped
 // because `cities` and `qt` name no package or exported type, so prose
 // and code examples need no annotations.
+//
+// doccheck also fails on every benchmark report the prose cites by name
+// — `BENCH_PR8.json` — that does not sit next to the citing document: a
+// speed claim counts only if the report that recorded it is committed.
+// CI runs on a clean checkout, where present means committed. The glob
+// `BENCH_*.json` names no report and is not checked.
 package main
 
 import (
@@ -230,9 +236,13 @@ func aliasTargetName(expr ast.Expr) string {
 // reference is checked at all (known package or exported type).
 var refPattern = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)\.([A-Z][A-Za-z0-9_]*)`)
 
+// reportPattern matches a cited benchmark report file name.
+var reportPattern = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+
 // checkDoc scans one documentation file and returns a "file:line: ref"
 // diagnostic for every reference whose qualifier the module knows but
-// whose member it does not.
+// whose member it does not, and for every cited benchmark report that
+// is missing.
 func checkDoc(path string, idx *index) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -240,6 +250,12 @@ func checkDoc(path string, idx *index) ([]string, error) {
 	}
 	var broken []string
 	for lineNo, line := range strings.Split(string(data), "\n") {
+		for _, report := range reportPattern.FindAllString(line, -1) {
+			if _, err := os.Stat(filepath.Join(filepath.Dir(path), report)); err != nil {
+				broken = append(broken, fmt.Sprintf("%s:%d: %s: cited benchmark report is not committed",
+					path, lineNo+1, report))
+			}
+		}
 		for _, m := range refPattern.FindAllStringSubmatch(line, -1) {
 			qual, member := m[1], m[2]
 			switch {

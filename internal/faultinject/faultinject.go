@@ -57,6 +57,11 @@ const (
 	// during the write syscall leaves behind. Recovery must discard the
 	// torn tail.
 	WALTornWrite Point = "wal.append.torn"
+	// WALSyncFail fails a write-ahead-log fsync, as a disk that drops
+	// dirty pages does: the sync reports failure, the log poisons
+	// itself and drops the frames appended since the last good sync,
+	// and the write waiting on that sync is never acknowledged.
+	WALSyncFail Point = "wal.sync.fail"
 	// SegmentPartialFlush cuts a sealed-run write short: the segment
 	// file ends mid-block with no footer, and the flush reports
 	// failure before the WAL is truncated. Recovery must treat the run
@@ -103,6 +108,7 @@ var allPoints = []Point{
 	QueryLatency,
 	SnapshotRebuild,
 	WALTornWrite,
+	WALSyncFail,
 	SegmentPartialFlush,
 	SegmentCorruption,
 	CompactionInterrupted,
@@ -119,11 +125,11 @@ func DiskReadPoints() []Point {
 }
 
 // DurabilityPoints returns the registered failure points on the
-// durability path — WAL append, segment flush, and compaction — the set
-// the crash-recovery chaos suite must cover one by one. The returned
-// slice is a copy.
+// durability path — WAL append and sync, segment flush, and compaction
+// — the set the crash-recovery chaos suite must cover one by one. The
+// returned slice is a copy.
 func DurabilityPoints() []Point {
-	return []Point{WALTornWrite, SegmentPartialFlush, SegmentCorruption, CompactionInterrupted}
+	return []Point{WALTornWrite, WALSyncFail, SegmentPartialFlush, SegmentCorruption, CompactionInterrupted}
 }
 
 // Points returns the canonical list of registered failure points, in

@@ -62,6 +62,7 @@ func TestPointRegistryComplete(t *testing.T) {
 		"QueryLatency":          QueryLatency,
 		"SnapshotRebuild":       SnapshotRebuild,
 		"WALTornWrite":          WALTornWrite,
+		"WALSyncFail":           WALSyncFail,
 		"SegmentPartialFlush":   SegmentPartialFlush,
 		"SegmentCorruption":     SegmentCorruption,
 		"CompactionInterrupted": CompactionInterrupted,

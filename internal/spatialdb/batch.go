@@ -388,7 +388,8 @@ func (t *Table) containsBatchMem(sc *BatchScratch, pts []geom.Point, found []boo
 // counted. The whole batch is answered from one consistent cut: a
 // cross-shard seqlock over every involved shard's fresh snapshot
 // (revalidated against the shard epochs, retried once), falling back
-// to the involved shards' read locks in ascending order.
+// to the involved shards' read locks in ascending order, under which a
+// stale shard is counted from its snapshot plus write delta.
 // Allocation-free in the steady state on an in-memory table once sc
 // has grown to the batch size.
 func (t *Table) CountRangeBatch(sc *BatchScratch, windows []geom.Rect, counts []int) error {
@@ -526,15 +527,12 @@ func (t *Table) countRangeBatchMem(sc *BatchScratch, windows []geom.Rect, counts
 		if lo == hi {
 			continue
 		}
-		sh := t.shards[s]
-		f, _ := sh.loadFresh()
+		// The fresh snapshot, the stale one with its write delta, or the
+		// live tree; the fallback never rebuilds.
+		v := t.shards[s].viewLocked()
 		for j := lo; j < hi; j++ {
 			w := int(sc.perm[j])
-			if f != nil {
-				sc.acc[w] += f.CountRange(windows[w])
-			} else {
-				sc.acc[w] += sh.index.CountRange(windows[w])
-			}
+			sc.acc[w] += v.count(windows[w])
 		}
 	}
 	runlockShards(sc.locked[:nl])

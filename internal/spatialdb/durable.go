@@ -610,10 +610,19 @@ func (d *durableTable) maybeTruncateBatchLog() error {
 	if d.batchLog.Records() == 0 {
 		return nil
 	}
-	if err := d.batchLog.Sync(); err != nil {
+	return restartLog(d.batchLog)
+}
+
+// restartLog empties a log whose frames nothing needs any more: sealed
+// runs cover a shard WAL's, and no shard WAL holds a frame the batch
+// log's commits vouch for. A poisoned log (a torn append or a failed
+// sync) is restarted too: truncation drops the unknown tail, so it
+// is the way back from poison short of a reopen.
+func restartLog(l *wal.Log) error {
+	if err := l.Sync(); err != nil && !errors.Is(err, wal.ErrPoisoned) {
 		return err
 	}
-	return d.batchLog.Truncate()
+	return l.Truncate()
 }
 
 // append writes one WAL record, honoring the SyncAppends policy.

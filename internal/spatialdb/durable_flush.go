@@ -117,10 +117,7 @@ func (t *Table) sealWALLocked(si int) error {
 
 // truncateWAL restarts the WAL empty once a sealed run covers it.
 func (ds *durableShard) truncateWAL() error {
-	if err := ds.log.Sync(); err != nil {
-		return err
-	}
-	return ds.log.Truncate()
+	return restartLog(ds.log)
 }
 
 // foldWAL replays the shard's WAL into sorted run entries: for each

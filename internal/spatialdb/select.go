@@ -104,13 +104,95 @@ func queryBox(q Query) geom.Rect {
 	return geom.R(w.At.X-w.Radius, w.At.Y-w.Radius, w.At.X+w.Radius, w.At.Y+w.Radius)
 }
 
-// ranger abstracts the two range-serving representations — the live
-// quadtree and the frozen linear snapshot — which share the budgeted
-// traversal signature, so Select and CountRange are written once per
-// path.
-type ranger interface {
-	RangeBudgeted(geom.Rect, int, quadtree.Visit[Record]) quadtree.RangeStats
-	CountRangeBudgeted(geom.Rect, int) quadtree.RangeStats
+// view is what a range read scans on one shard: a frozen snapshot,
+// the same snapshot overlaid with the writes since it (delta), or the
+// live tree when no usable snapshot exists. Exactly one of frozen and
+// tree is set. A view is a plain value, so choosing the representation
+// per query allocates nothing, and Select and CountRange are written
+// once over all three.
+type view struct {
+	frozen *linearquad.Frozen[Record]
+	delta  *writeDelta
+	tree   *quadtree.Tree[Record]
+}
+
+// rangeBudgeted scans the view with the budgeted traversal signature of
+// quadtree.Tree.RangeBudgeted. Over a delta it scans the frozen
+// snapshot, skipping the records the delta replaces, and then — unless
+// the budget cut the scan short — delivers the delta's live records
+// inside the query; the delta costs no node visits. A nil visit counts
+// without delivering.
+func (v view) rangeBudgeted(query geom.Rect, maxNodes int, visit quadtree.Visit[Record]) quadtree.RangeStats {
+	if v.tree != nil {
+		return v.tree.RangeBudgeted(query, maxNodes, visit)
+	}
+	d := v.delta
+	if d == nil {
+		return v.frozen.RangeBudgeted(query, maxNodes, visit)
+	}
+	skip := d.replacesIn(query)
+	skipped, stopped := 0, false
+	st := v.frozen.RangeBudgeted(query, maxNodes, func(p geom.Point, r Record) bool {
+		if skip && d.replaced(p) {
+			skipped++
+			return true
+		}
+		if visit != nil && !visit(p, r) {
+			stopped = true
+			return false
+		}
+		return true
+	})
+	st.Matched -= skipped
+	if st.Truncated || stopped {
+		return st
+	}
+	for i := range d.entries {
+		e := &d.entries[i]
+		if !e.live || !query.ContainsClosed(e.rec.Loc) {
+			continue
+		}
+		st.Matched++
+		if visit != nil && !visit(e.rec.Loc, e.rec) {
+			break
+		}
+	}
+	return st
+}
+
+// countRangeBudgeted counts the view's records inside the closed
+// window; the count is RangeStats.Matched. An unbudgeted count over a
+// delta is the frozen count kernel plus the delta's net change, with
+// no visitor and no allocation.
+func (v view) countRangeBudgeted(window geom.Rect, maxNodes int) quadtree.RangeStats {
+	switch {
+	case v.tree != nil:
+		return v.tree.CountRangeBudgeted(window, maxNodes)
+	case v.delta == nil:
+		return v.frozen.CountRangeBudgeted(window, maxNodes)
+	case maxNodes > 0:
+		// A budget may stop the scan before it reaches the records the
+		// delta replaces, so count what the scan delivers.
+		return v.rangeBudgeted(window, maxNodes, nil)
+	}
+	st := v.frozen.CountRangeBudgeted(window, 0)
+	st.Matched += v.delta.netIn(window)
+	return st
+}
+
+// count is the statistics-free count CountRangeBatch's locked fallback
+// uses.
+//
+//popvet:noalloc
+func (v view) count(window geom.Rect) int {
+	if v.tree != nil {
+		return v.tree.CountRange(window)
+	}
+	n := v.frozen.CountRange(window)
+	if v.delta != nil {
+		n += v.delta.netIn(window)
+	}
+	return n
 }
 
 func costOf(st quadtree.RangeStats) Cost {
@@ -127,16 +209,16 @@ func addCost(c *Cost, st quadtree.RangeStats) {
 // scanRange runs the window or radius scan of q over idx with the given
 // node budget, delivering every spatially matching record to emit (the
 // caller applies Query.Filter).
-func scanRange(idx ranger, q Query, maxNodes int, emit func(Record)) quadtree.RangeStats {
+func scanRange(idx view, q Query, maxNodes int, emit func(Record)) quadtree.RangeStats {
 	if q.Window != nil {
-		return idx.RangeBudgeted(*q.Window, maxNodes, func(_ geom.Point, r Record) bool {
+		return idx.rangeBudgeted(*q.Window, maxNodes, func(_ geom.Point, r Record) bool {
 			emit(r)
 			return true
 		})
 	}
 	w := q.Within
 	r2 := w.Radius * w.Radius
-	return idx.RangeBudgeted(queryBox(q), maxNodes, func(p geom.Point, rec Record) bool {
+	return idx.rangeBudgeted(queryBox(q), maxNodes, func(p geom.Point, rec Record) bool {
 		if p.Dist2(w.At) <= r2 {
 			emit(rec)
 		}
@@ -188,11 +270,12 @@ func forShards(n int, f func(int)) {
 // acquiring any lock, fanned out across a bounded worker pool and
 // revalidated against the shard epochs so the merged result is one
 // consistent cut. Otherwise the query takes the target shards' read
-// locks (ascending order) and scans whichever representation is current
-// per shard, rebuilding snapshots that crossed the staleness threshold.
-// Both paths honor MaxNodes — budgeted queries scan shards sequentially,
-// handing each shard the budget the previous ones left over — and
-// report the same Cost fields.
+// locks (ascending order) and scans each shard's snapshot — merged with
+// its write delta when stale — rebuilding snapshots that crossed the
+// staleness threshold; only a shard without a usable snapshot is
+// scanned through its live tree. Both paths honor MaxNodes — budgeted
+// queries scan shards sequentially, handing each shard the budget the
+// previous ones left over — and report the same Cost fields.
 func (t *Table) Select(q Query) ([]Record, Cost, error) {
 	if err := q.validate(); err != nil {
 		return nil, Cost{}, err
@@ -228,7 +311,7 @@ func (t *Table) Select(q Query) ([]Record, Cost, error) {
 // selectShard serves a query confined to one shard — the layout every
 // query sees on a single-shard table, where it is bit-identical to the
 // pre-sharding engine: lock-free off a fresh snapshot, else under the
-// shard read lock from whichever representation is current.
+// shard read lock from the shard's view (see rangerLocked).
 func selectShard(s *shard, every uint64, q Query, keep func(Record) bool) ([]Record, Cost) {
 	var out []Record
 	emit := func(r Record) {
@@ -237,7 +320,7 @@ func selectShard(s *shard, every uint64, q Query, keep func(Record) bool) ([]Rec
 		}
 	}
 	if f, _ := s.loadFresh(); f != nil {
-		return out, costOf(scanRange(f, q, q.MaxNodes, emit))
+		return out, costOf(scanRange(view{frozen: f}, q, q.MaxNodes, emit))
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -268,7 +351,7 @@ func (t *Table) selectMultiFast(q Query, targets []*shard, keep func(Record) boo
 		}
 		forShards(n, func(i int) {
 			outs[i] = outs[i][:0]
-			stats[i] = scanRange(snaps[i], q, 0, func(r Record) { outs[i] = append(outs[i], r) })
+			stats[i] = scanRange(view{frozen: snaps[i]}, q, 0, func(r Record) { outs[i] = append(outs[i], r) })
 		})
 		stable := true
 		for i, s := range targets {
@@ -417,7 +500,9 @@ func (t *Table) selectNearest(spec NearestSpec, keep func(Record) bool) ([]Recor
 // the same budgeted traversal, shard pruning, budget hand-down, and
 // snapshot fast paths as a window Select — Cost.Truncated is reported
 // identically for the same window and budget — so on quiescent shards
-// it runs lock-free and allocation-free.
+// it runs lock-free and allocation-free. A stale shard is counted under
+// its read lock as the snapshot's count plus its write delta's net
+// change, which allocates nothing either.
 func (t *Table) CountRange(window geom.Rect, maxNodes int) (int, Cost, error) {
 	if err := validateRegion(window); err != nil {
 		return 0, Cost{}, err
@@ -438,7 +523,7 @@ func (t *Table) CountRange(window geom.Rect, maxNodes int) (int, Cost, error) {
 		}
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		st := s.rangerLocked(t.snapEvery).CountRangeBudgeted(window, maxNodes)
+		st := s.rangerLocked(t.snapEvery).countRangeBudgeted(window, maxNodes)
 		return st.Matched, costOf(st), nil
 	}
 	if maxNodes <= 0 {
@@ -505,7 +590,7 @@ func (t *Table) countMultiLocked(window geom.Rect, targets []*shard, maxNodes in
 				cost.Truncated = true
 				break
 			}
-			st := s.rangerLocked(t.snapEvery).CountRangeBudgeted(window, remaining)
+			st := s.rangerLocked(t.snapEvery).countRangeBudgeted(window, remaining)
 			cnt += st.Matched
 			addCost(&cost, st)
 			remaining -= st.NodesVisited
@@ -518,7 +603,7 @@ func (t *Table) countMultiLocked(window geom.Rect, targets []*shard, maxNodes in
 	n := len(targets)
 	stats := make([]quadtree.RangeStats, n)
 	forShards(n, func(i int) {
-		stats[i] = targets[i].rangerLocked(t.snapEvery).CountRangeBudgeted(window, 0)
+		stats[i] = targets[i].rangerLocked(t.snapEvery).countRangeBudgeted(window, 0)
 	})
 	cnt := 0
 	var cost Cost

@@ -17,6 +17,133 @@ import (
 type snapshot struct {
 	frozen *linearquad.Frozen[Record]
 	epoch  uint64
+	// delta holds the writes the shard absorbed since epoch, so a stale
+	// snapshot still serves range reads. It is written only under the
+	// shard write lock and read only under a read lock; the lock-free
+	// path never touches it (a fresh snapshot's delta is empty). A
+	// rebuild publishes a new snapshot with an empty delta instead of
+	// clearing this one: readers beside the rebuild may still hold it.
+	delta writeDelta
+}
+
+// maxDelta caps a delta's entries whatever the snapshot threshold, so a
+// table configured never to rebuild does not make every write and
+// every stale read scan an unbounded delta; past the cap reads fall
+// back to the live tree.
+const maxDelta = 256
+
+// deltaEntry is the net effect, since the snapshot, of the writes at
+// one location. Every entry is live, replaces, or both: an insert that
+// is deleted again before the next rebuild leaves no entry.
+type deltaEntry struct {
+	// rec is the record now at rec.Loc when live; a tombstone keeps
+	// only its location.
+	rec Record
+	// live: a record lives at rec.Loc now.
+	live bool
+	// replaces: the frozen snapshot holds a record at rec.Loc, which
+	// this entry supersedes.
+	replaces bool
+}
+
+// writeDelta is a snapshot's write delta: the frozen records plus the
+// live entries, minus the frozen records the entries replace, are
+// exactly the shard's live tree.
+type writeDelta struct {
+	entries []deltaEntry
+	// writes counts the epoch bumps recorded since the snapshot. A
+	// mutation that bumps the epoch without recording (a failed insert,
+	// or a path that never records) leaves the delta short of the
+	// epoch, and readers then use the live tree until the next rebuild.
+	writes uint64
+	// overflow marks a delta that outgrew its bound and was dropped.
+	overflow bool
+}
+
+// record adds one applied write: a record now lives at rec.Loc (live),
+// or the record there was deleted. bound caps the distinct locations.
+func (d *writeDelta) record(rec Record, live bool, bound int) {
+	d.writes++
+	if d.overflow {
+		return
+	}
+	for i := range d.entries {
+		e := &d.entries[i]
+		if e.rec.Loc != rec.Loc {
+			continue
+		}
+		if !live && !e.replaces {
+			// Deleting a record inserted since the snapshot returns the
+			// location to what the snapshot holds: nothing.
+			last := len(d.entries) - 1
+			d.entries[i] = d.entries[last]
+			d.entries[last] = deltaEntry{}
+			d.entries = d.entries[:last]
+			return
+		}
+		e.rec, e.live = rec, live
+		return
+	}
+	if len(d.entries) >= bound {
+		d.overflow = true
+		d.entries = nil
+		return
+	}
+	// A location with no entry holds what the snapshot holds, so an
+	// insert there found it empty and a delete removed a frozen record.
+	d.entries = append(d.entries, deltaEntry{rec: rec, live: live, replaces: !live})
+}
+
+// covers reports whether the delta accounts for every write between
+// the snapshot's epoch base and the shard's current epoch.
+//
+//popvet:noalloc
+func (d *writeDelta) covers(base, epoch uint64) bool {
+	return !d.overflow && base+d.writes == epoch
+}
+
+// netIn is the delta's count kernel: the change it makes to the number
+// of frozen records inside the closed window — one per live entry
+// there, minus one per frozen record it replaces there.
+//
+//popvet:noalloc
+func (d *writeDelta) netIn(window geom.Rect) int {
+	n := 0
+	for i := range d.entries {
+		e := &d.entries[i]
+		if e.live == e.replaces || !window.ContainsClosed(e.rec.Loc) {
+			continue
+		}
+		if e.live {
+			n++
+		} else {
+			n--
+		}
+	}
+	return n
+}
+
+// replacesIn reports whether the delta replaces a frozen record inside
+// the closed box, which a scan of the box must then skip.
+//
+//popvet:noalloc
+func (d *writeDelta) replacesIn(box geom.Rect) bool {
+	for i := range d.entries {
+		if d.entries[i].replaces && box.ContainsClosed(d.entries[i].rec.Loc) {
+			return true
+		}
+	}
+	return false
+}
+
+// replaced reports whether the delta replaces the frozen record at p.
+func (d *writeDelta) replaced(p geom.Point) bool {
+	for i := range d.entries {
+		if d.entries[i].replaces && d.entries[i].rec.Loc == p {
+			return true
+		}
+	}
+	return false
 }
 
 // shard is one spatial partition of a table: the records whose level-k
@@ -70,9 +197,11 @@ type shard struct {
 	epoch atomic.Uint64
 	// snap is the latest frozen snapshot; nil until the first build.
 	// The publish-after-build discipline the lock-free read path relies
-	// on lives entirely in the three accessors below; popvet's
-	// lockdiscipline analyzer rejects any other Load or Store.
-	//popvet:accessors loadFresh rebuildLocked maybeRebuildLocked publishRecovered frozenLocked
+	// on lives entirely in the accessors named below, and so do the
+	// locked loads that record into and read its write delta
+	// (recordLocked, viewLocked); popvet's lockdiscipline analyzer
+	// rejects any other Load or Store.
+	//popvet:accessors loadFresh rebuildLocked maybeRebuildLocked publishRecovered frozenLocked recordLocked viewLocked
 	snap atomic.Pointer[snapshot]
 	// rebuilding serializes snapshot builds so a thundering herd of
 	// stale readers freezes the shard once, not once per reader.
@@ -172,19 +301,58 @@ func (s *shard) maybeRebuildLocked(every uint64) *linearquad.Frozen[Record] {
 	return f
 }
 
-// rangerLocked returns the representation queries should scan: the
-// fresh frozen snapshot if there is one (possibly rebuilt just now
-// because the shard crossed the staleness threshold), the live tree
-// otherwise. The caller must hold at least the read lock, under which
-// either representation is exact.
-func (s *shard) rangerLocked(every uint64) ranger {
-	if f, _ := s.loadFresh(); f != nil {
-		return f
+// recordLocked records an applied write in the published snapshot's
+// delta: a record now lives at rec.Loc (live), or the record there was
+// deleted. The caller holds the write lock, bumped the epoch once for
+// this write, and has already applied it to the tree. every is the
+// table's snapshot threshold, which bounds the delta.
+func (s *shard) recordLocked(rec Record, live bool, every uint64) {
+	sn := s.snap.Load()
+	if sn == nil || sn.frozen == nil {
+		return
 	}
+	bound := maxDelta
+	if every < maxDelta {
+		bound = int(every)
+	}
+	sn.delta.record(rec, live, bound)
+}
+
+// viewLocked returns what a range read scans, without rebuilding: the
+// fresh snapshot; the stale snapshot with its write delta; or the live
+// tree when no snapshot was published, the last freeze failed, or the
+// delta does not cover the shard's writes. The snapshot is loaded once,
+// so its frozen copy and delta always match. The caller must hold at
+// least the read lock, under which every answer is exact.
+//
+//popvet:noalloc
+func (s *shard) viewLocked() view {
+	sn := s.snap.Load()
+	if sn == nil || sn.frozen == nil {
+		return view{tree: s.index}
+	}
+	e := s.epoch.Load()
+	switch {
+	case sn.epoch == e:
+		return view{frozen: sn.frozen}
+	case !sn.delta.covers(sn.epoch, e):
+		return view{tree: s.index}
+	case len(sn.delta.entries) == 0:
+		return view{frozen: sn.frozen}
+	}
+	return view{frozen: sn.frozen, delta: &sn.delta}
+}
+
+// rangerLocked returns the view a range read scans: the snapshot
+// rebuilt just now if the shard crossed the staleness threshold,
+// otherwise viewLocked's answer. The threshold therefore bounds the
+// delta a stale read merges; the live tree serves only shards without
+// a usable snapshot. The caller must hold at least the read lock.
+func (s *shard) rangerLocked(every uint64) view {
 	if f := s.maybeRebuildLocked(every); f != nil {
-		return f
+		return view{frozen: f}
 	}
-	return s.index
+	return s.viewLocked()
 }
 
 // publishRecovered publishes a snapshot reconstructed from a durable

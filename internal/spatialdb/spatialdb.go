@@ -66,13 +66,17 @@
 // epoch still matches the snapshot's — are served entirely from the
 // snapshots without taking any shard lock; a cross-shard query
 // revalidates every target shard's epoch after scanning (a seqlock) so
-// the merged result is still one consistent cut. When a snapshot is
-// stale the query falls back to that shard's live tree under its read
-// lock, and the snapshot is rebuilt lazily once the shard has absorbed
-// SnapshotThreshold mutations since the last build (or immediately on
-// Compact, which rebuilds shard by shard so one hot region compacting
-// never stalls the others). Query budgets (MaxNodes), Cost accounting,
-// and the faultinject query points apply identically on both paths.
+// the merged result is still one consistent cut. Every write since a
+// snapshot is recorded in a small per-location write delta attached to
+// it, so a stale shard serves range reads under its read lock from the
+// snapshot merged with the delta. The snapshot is rebuilt lazily once
+// the shard has absorbed SnapshotThreshold mutations since the last
+// build (or immediately on Compact, which rebuilds shard by shard so
+// one hot region compacting never stalls the others); the threshold
+// thus bounds the delta a stale read merges. The live tree serves range
+// reads only on a shard with no usable snapshot. Query budgets
+// (MaxNodes), Cost accounting, and the faultinject query points apply
+// identically on every path.
 package spatialdb
 
 import (
@@ -390,10 +394,12 @@ func (db *DB) DropTable(name string) error {
 }
 
 // DefaultSnapshotThreshold is the number of mutations a shard absorbs
-// before a falling-back query rebuilds its frozen snapshot. Small
-// enough that read-mostly shards regain the lock-free path quickly;
-// large enough that a write burst does not pay an O(n) freeze per
-// handful of inserts.
+// before the next range read rebuilds its frozen snapshot. Until then a
+// stale shard's range reads merge the snapshot with the delta of writes
+// since it, so the threshold bounds that delta: small enough that the
+// merge stays a short loop and read-mostly shards regain the lock-free
+// path quickly; large enough that a write burst does not pay an O(n)
+// freeze per handful of inserts.
 const DefaultSnapshotThreshold = 64
 
 // Table is one spatially indexed record collection, safe for concurrent
@@ -419,8 +425,9 @@ type Table struct {
 	ids *idIndex
 
 	// snapEvery is the per-shard staleness (in mutations) at which a
-	// falling-back query triggers a snapshot rebuild; immutable after
-	// creation except via SetSnapshotThreshold.
+	// range read rebuilds the snapshot, and so the bound on the write
+	// delta a stale read merges; immutable after creation except via
+	// SetSnapshotThreshold.
 	snapEvery uint64
 
 	// occ is the model-predicted records per block; occApprox marks it
@@ -436,9 +443,11 @@ type Table struct {
 }
 
 // SetSnapshotThreshold overrides DefaultSnapshotThreshold: the number
-// of mutations after which a query that found a shard's snapshot stale
-// rebuilds it. n <= 0 restores the default. Call before the table is
-// shared across goroutines.
+// of mutations after which a range read that finds a shard's snapshot
+// stale rebuilds it. Below it, stale range reads merge the snapshot
+// with the delta of writes since it (at most n entries, capped at 256).
+// n <= 0 restores the default. Call before the table is shared across
+// goroutines.
 func (t *Table) SetSnapshotThreshold(n int) {
 	if n <= 0 {
 		t.snapEvery = DefaultSnapshotThreshold
@@ -469,16 +478,29 @@ func (t *Table) shardOf(p geom.Point) *shard {
 // query rectangle, ascending by shard index — the order every
 // multi-shard lock acquisition and result merge uses. The overlap test
 // is the same closed-vs-half-open predicate the tree traversals prune
-// with, so shard pruning can never drop a boundary match.
+// with, so shard pruning can never drop a boundary match. One shard, or
+// every shard, is returned as a subslice of t.shards with no
+// allocation; callers must not modify the result.
 func (t *Table) shardsOverlapping(query geom.Rect) []*shard {
-	if len(t.shards) == 1 {
-		if t.shards[0].region.OverlapsClosed(query) {
-			return t.shards
+	first, n := -1, 0
+	for i, s := range t.shards {
+		if s.region.OverlapsClosed(query) {
+			if first < 0 {
+				first = i
+			}
+			n++
 		}
-		return nil
 	}
-	out := make([]*shard, 0, 4)
-	for _, s := range t.shards {
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return t.shards[first : first+1]
+	case len(t.shards):
+		return t.shards
+	}
+	out := make([]*shard, 0, n)
+	for _, s := range t.shards[first:] {
 		if s.region.OverlapsClosed(query) {
 			out = append(out, s)
 		}
@@ -598,6 +620,7 @@ func (t *Table) Insert(rec Record) error {
 		if _, err := s.index.Insert(rec.Loc, rec); err != nil {
 			return fmt.Errorf("spatialdb: insert into %q: %w", t.name, err)
 		}
+		s.recordLocked(rec, true, t.snapEvery)
 	}
 	st.m[rec.ID] = rec.Loc
 	s.count.Add(1)
@@ -719,6 +742,9 @@ func (t *Table) InsertBatch(recs []Record) error {
 			if _, err := s.index.BulkLoad(points, vals); err != nil {
 				return fmt.Errorf("spatialdb: insert batch into %q: %w", t.name, err)
 			}
+			for _, ri := range idxs {
+				s.recordLocked(recs[ri], true, t.snapEvery)
+			}
 		}
 		s.count.Add(int64(len(idxs)))
 		for _, ri := range idxs {
@@ -821,6 +847,7 @@ func (t *Table) deleteAt(id uint64, loc geom.Point) (done, deleted bool, err err
 	}
 	s.markDirty(loc)
 	if s.index.Delete(loc) {
+		s.recordLocked(Record{ID: id, Loc: loc}, false, t.snapEvery)
 		s.count.Add(-1)
 		return true, true, nil
 	}

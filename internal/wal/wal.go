@@ -32,6 +32,16 @@
 // the owner is expected to treat the table as crashed and recover. This
 // mirrors what real engines do: after a write error the only safe WAL
 // is a re-opened one.
+//
+// A failed Sync poisons the log the same way, and Sync on a poisoned
+// log returns ErrPoisoned rather than retrying: after a failed fsync the
+// kernel may have dropped the dirty pages and marked them clean, so a
+// later fsync can report success for data that never reached the disk.
+// The failed Sync also rolls the file back, best effort, to the end of
+// the last successfully synced frame, dropping frames whose durability
+// is now unknown. Owners therefore sync only where dropping the
+// unsynced frames is safe: right after an append they have not yet
+// acknowledged, or once a sealed run covers the whole log.
 package wal
 
 import (
@@ -46,10 +56,10 @@ import (
 	"popana/internal/faultinject"
 )
 
-// ErrPoisoned is returned by Append after an earlier append failed: the
-// log tail is in an unknown state and the owner must recover by
-// reopening.
-var ErrPoisoned = errors.New("wal: log poisoned by earlier append failure")
+// ErrPoisoned is returned by Append and Sync after an earlier append or
+// sync failed: the log tail is in an unknown state and the owner must
+// recover by reopening, or by Truncate once no frame is needed.
+var ErrPoisoned = errors.New("wal: log poisoned by earlier append or sync failure")
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -66,20 +76,25 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Truncate, and Sync are safe for concurrent use; Replay and Fold read
 // with an independent cursor and never disturb the append offset.
 type Log struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	size     int64 // end of the last valid frame == append offset
-	records  int   // valid frames currently in the file
-	poisoned bool
-	closed   bool
-	inj      *faultinject.Injector
+	mu      sync.Mutex
+	f       *os.File
+	path    string
+	size    int64 // end of the last valid frame == append offset
+	records int   // valid frames currently in the file
+	// synced and syncedRecords describe the prefix the last successful
+	// Sync (or Truncate, or Open's scan) left durable.
+	synced        int64
+	syncedRecords int
+	poisoned      bool
+	closed        bool
+	inj           *faultinject.Injector
 }
 
 // Options parameterizes Open.
 type Options struct {
-	// Injector arms deterministic failure points (WALTornWrite); nil is
-	// the production default and costs one pointer comparison.
+	// Injector arms deterministic failure points (WALTornWrite,
+	// WALSyncFail); nil is the production default and costs one pointer
+	// comparison.
 	Injector *faultinject.Injector
 }
 
@@ -104,8 +119,8 @@ func Open(path string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 		}
 	}
-	l.size = valid
-	l.records = n
+	l.size, l.synced = valid, valid
+	l.records, l.syncedRecords = n, n
 	return l, nil
 }
 
@@ -184,14 +199,34 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// Sync flushes the file to stable storage.
+// Sync flushes the file to stable storage. On failure — including an
+// injected WALSyncFail — the log is poisoned and rolled back to the last
+// synced frame (see the package comment); the caller must not
+// acknowledge the frames appended since that sync.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	switch {
+	case l.closed:
 		return ErrClosed
+	case l.poisoned:
+		return ErrPoisoned
 	}
-	return l.f.Sync()
+	err := l.inj.Err(faultinject.WALSyncFail)
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		// The log's end moves back to the synced prefix even if the
+		// physical truncate fails, so Fold never returns the dropped
+		// frames.
+		l.poisoned = true
+		_ = l.f.Truncate(l.synced)
+		l.size, l.records = l.synced, l.syncedRecords
+		return fmt.Errorf("wal: sync: %w", err)
+	}
+	l.synced, l.syncedRecords = l.size, l.records
+	return nil
 }
 
 // Truncate discards every record: the log restarts empty. Callers
@@ -205,11 +240,12 @@ func (l *Log) Truncate() error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
+	l.size, l.synced = 0, 0
+	l.records, l.syncedRecords = 0, 0
 	if err := l.f.Sync(); err != nil {
+		l.poisoned = true
 		return fmt.Errorf("wal: truncate sync: %w", err)
 	}
-	l.size = 0
-	l.records = 0
 	l.poisoned = false // the unknown tail is gone
 	return nil
 }
@@ -221,20 +257,20 @@ func (l *Log) Records() int {
 	return l.records
 }
 
-// Fold replays every valid record from the start of the log through
-// visit, without moving the append offset, and reports whether a torn
-// tail follows the valid prefix. It reads the file with an independent
+// Fold replays every valid record from the start of the log up to the
+// append offset through visit, without moving it, and reports whether a
+// torn tail follows the valid prefix. It reads the file with an independent
 // cursor, so it is safe to call while the log is open for append (the
 // caller serializes against concurrent Append by holding the owning
 // shard's lock, as the flush path does).
 func (l *Log) Fold(visit func(payload []byte) error) (torn bool, err error) {
 	l.mu.Lock()
-	f, closed := l.f, l.closed
+	f, size, closed := l.f, l.size, l.closed
 	l.mu.Unlock()
 	if closed {
 		return false, ErrClosed
 	}
-	_, _, torn, err = scan(f, visit)
+	_, _, torn, err = scan(io.NewSectionReader(f, 0, size), visit)
 	return torn, err
 }
 
