@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"popana/internal/geom"
-	"popana/internal/segment"
 )
 
 // resolveTailGet settles what the WAL tail can settle for one shard
@@ -252,43 +251,36 @@ func (t *Table) containsBatchLazy(sc *BatchScratch, pts []geom.Point, found []bo
 
 // countRangeBatchLazy serves CountRangeBatch on a lazy table: every
 // involved shard is pinned once for the whole batch, then each
-// (shard, window) pair streams one scanZRange — which consults the
-// run filters over the window's Z-interval, so runs with no codes in
-// range never open a cursor. The per-window counts accumulate across
-// shards exactly as the scalar countLazy sums its shard scans.
+// (shard, window) pair streams one countDisk — whose scanZRange
+// consults the run filters over the window's Z-interval, so runs with
+// no codes in range never open a cursor. The per-window counts
+// accumulate across shards exactly as a scalar CountRange sums its
+// shard scans.
 func (t *Table) countRangeBatchLazy(sc *BatchScratch, windows []geom.Rect, counts []int) error {
 	ns := len(t.shards)
 	sc.ensureShards(ns)
 	sc.ensureWindows(len(windows), len(windows)*ns)
 	t.stageWindows(sc, windows)
-	sis := make([]int, 0, ns)
+	targets := make([]*shard, 0, ns)
 	for s := 0; s < ns; s++ {
 		if sc.starts[s] != sc.starts[s+1] {
-			sis = append(sis, s)
+			targets = append(targets, t.shards[s])
 		}
 	}
-	if len(sis) == 0 {
+	if len(targets) == 0 {
 		return nil
 	}
-	views := t.pinShards(sis)
+	views := t.pinShards(targets)
 	defer releaseViews(views)
-	t.fireCursorSeal(sis)
-	for vi, si := range sis {
-		v := views[vi]
-		for j := int(sc.starts[si]); j < int(sc.starts[si+1]); j++ {
+	t.fireCursorSeal(targets)
+	for vi, s := range targets {
+		for j := int(sc.starts[s.si]); j < int(sc.starts[s.si+1]); j++ {
 			w := int(sc.perm[j])
-			window := windows[w]
-			cnt := 0
-			_, err := t.scanZRange(v, window, 0, func(e segment.Entry) bool {
-				if window.ContainsClosed(geom.Pt(e.X, e.Y)) {
-					cnt++
-				}
-				return true
-			})
+			st, err := t.countDisk(&views[vi], windows[w], 0)
 			if err != nil {
 				return fmt.Errorf("spatialdb: count batch in %q: %w", t.name, err)
 			}
-			counts[w] += cnt
+			counts[w] += st.Matched
 		}
 	}
 	return nil

@@ -105,15 +105,19 @@ func queryBox(q Query) geom.Rect {
 }
 
 // view is what a range read scans on one shard: a frozen snapshot,
-// the same snapshot overlaid with the writes since it (delta), or the
-// live tree when no usable snapshot exists. Exactly one of frozen and
-// tree is set. A view is a plain value, so choosing the representation
-// per query allocates nothing, and Select and CountRange are written
-// once over all three.
+// the same snapshot overlaid with the writes since it (delta), the
+// live tree when no usable snapshot exists, or, on a lazy table, the
+// shard's pinned run stack and WAL tail (disk). Exactly one of frozen,
+// tree and disk is set. A view is a plain value, so choosing the
+// representation per query allocates nothing, and Select and
+// CountRange are written once over all four. The methods below serve
+// the in-memory three; the per-shard reads send disk views to
+// scanZRange.
 type view struct {
 	frozen *linearquad.Frozen[Record]
 	delta  *writeDelta
 	tree   *quadtree.Tree[Record]
+	disk   *shardView
 }
 
 // rangeBudgeted scans the view with the budgeted traversal signature of
@@ -264,176 +268,252 @@ func forShards(n int, f func(int)) {
 // order, unspecified within a shard; nearest queries return
 // closest-first.
 //
-// The query first prunes to the shards whose cell touches the query
-// rectangle. On quiescent shards — no mutation since their snapshots
-// were built — the scan is served from the frozen snapshots without
-// acquiring any lock, fanned out across a bounded worker pool and
-// revalidated against the shard epochs so the merged result is one
-// consistent cut. Otherwise the query takes the target shards' read
-// locks (ascending order) and scans each shard's snapshot — merged with
-// its write delta when stale — rebuilding snapshots that crossed the
-// staleness threshold; only a shard without a usable snapshot is
-// scanned through its live tree. Both paths honor MaxNodes — budgeted
-// queries scan shards sequentially, handing each shard the budget the
-// previous ones left over — and report the same Cost fields.
+// Window and radius queries run through readRange: pruned to the
+// shards whose cell touches the query rectangle, served lock-free from
+// fresh snapshots when every target has one (revalidated against the
+// shard epochs, so the merged result is one consistent cut), otherwise
+// under the targets' read locks from each shard's snapshot — merged
+// with its write delta when stale — or, without a usable snapshot, its
+// live tree. On a lazy table the targets' run stacks and WAL tails are
+// pinned instead. MaxNodes holds on every path: budgeted queries scan
+// shards sequentially, handing each the budget the previous ones left
+// over. Query.Filter runs on the querying goroutine, in shard order,
+// once the cut is known to be consistent.
 func (t *Table) Select(q Query) ([]Record, Cost, error) {
 	if err := q.validate(); err != nil {
 		return nil, Cost{}, err
 	}
 	t.inj.Delay(faultinject.QueryLatency)
-	keep := q.Filter
-	if keep == nil {
-		keep = func(Record) bool { return true }
-	}
-	if t.lazyMode() {
-		return t.selectLazy(q, keep)
-	}
 	if q.Nearest != nil {
+		keep := q.Filter
+		if keep == nil {
+			keep = func(Record) bool { return true }
+		}
+		if t.lazyMode() {
+			return t.nearestDisk(*q.Nearest, keep)
+		}
 		return t.selectNearest(*q.Nearest, keep)
 	}
-	targets := t.shardsOverlapping(queryBox(q))
-	switch len(targets) {
-	case 0:
-		return nil, Cost{}, nil
-	case 1:
-		out, cost := selectShard(targets[0], t.snapEvery, q, keep)
-		return out, cost, nil
+	out, _, cost, err := readRange(t, queryBox(q), q.MaxNodes, selectRead{q})
+	if err != nil {
+		return nil, cost, fmt.Errorf("spatialdb: select from %q: %w", t.name, err)
 	}
-	if q.MaxNodes <= 0 {
-		if out, cost, ok := t.selectMultiFast(q, targets, keep); ok {
-			return out, cost, nil
-		}
-	}
-	out, cost := t.selectMultiLocked(q, targets, keep)
 	return out, cost, nil
 }
 
-// selectShard serves a query confined to one shard — the layout every
-// query sees on a single-shard table, where it is bit-identical to the
-// pre-sharding engine: lock-free off a fresh snapshot, else under the
-// shard read lock from the shard's view (see rangerLocked).
-func selectShard(s *shard, every uint64, q Query, keep func(Record) bool) ([]Record, Cost) {
+// rangeRead is the per-shard half of a window or radius read: Select
+// (selectRead) and CountRange (countRead) each write it once, and
+// readRange drives it over every kind of cut.
+type rangeRead[R any] interface {
+	// read scans one shard's view with a node budget (0: unlimited).
+	// The statistics' Matched is the shard's count of matches. Only a
+	// disk view can fail.
+	read(t *Table, v view, maxNodes int) (R, quadtree.RangeStats, error)
+	// add appends one shard's result to those of the shards before it
+	// (the zero R for the first). It runs on the querying goroutine, in
+	// shard order, once the cut is known to be consistent.
+	add(acc, part R) R
+}
+
+// countRead counts the records inside a closed window. The count is
+// RangeStats.Matched, which readRange sums, so a shard's result is
+// empty.
+type countRead geom.Rect
+
+func (w countRead) read(t *Table, v view, maxNodes int) (struct{}, quadtree.RangeStats, error) {
+	if v.disk != nil {
+		st, err := t.countDisk(v.disk, geom.Rect(w), maxNodes)
+		return struct{}{}, st, err
+	}
+	return struct{}{}, v.countRangeBudgeted(geom.Rect(w), maxNodes), nil
+}
+
+func (countRead) add(struct{}, struct{}) struct{} { return struct{}{} }
+
+// selectRead collects the records inside a window or radius query.
+type selectRead struct{ q Query }
+
+func (s selectRead) read(t *Table, v view, maxNodes int) ([]Record, quadtree.RangeStats, error) {
 	var out []Record
-	emit := func(r Record) {
-		if keep(r) {
-			out = append(out, r)
-		}
+	emit := func(r Record) { out = append(out, r) }
+	if v.disk != nil {
+		st, err := t.selectShardDisk(v.disk, s.q, maxNodes, emit)
+		return out, st, err
 	}
-	if f, _ := s.loadFresh(); f != nil {
-		return out, costOf(scanRange(view{frozen: f}, q, q.MaxNodes, emit))
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return out, costOf(scanRange(s.rangerLocked(every), q, q.MaxNodes, emit))
+	return out, scanRange(v, s.q, maxNodes, emit), nil
 }
 
-// selectMultiFast serves an unbudgeted multi-shard query from the
-// shards' fresh snapshots with no locks: a cross-shard seqlock. It
-// loads every target's fresh snapshot with its epoch stamp, scans the
-// snapshots in parallel, then revalidates the epochs; if any target
-// absorbed a write meanwhile, the merged result could straddle a
-// cross-shard batch, so the attempt is retried once and then falls
-// back to the locked path. ok=false when a snapshot was stale or the
-// epochs kept moving.
-func (t *Table) selectMultiFast(q Query, targets []*shard, keep func(Record) bool) ([]Record, Cost, bool) {
-	n := len(targets)
-	snaps := make([]*linearquad.Frozen[Record], n)
-	epochs := make([]uint64, n)
-	outs := make([][]Record, n)
-	stats := make([]quadtree.RangeStats, n)
-	for attempt := 0; attempt < 2; attempt++ {
-		for i, s := range targets {
-			f, e := s.loadFresh()
-			if f == nil {
-				return nil, Cost{}, false
-			}
-			snaps[i], epochs[i] = f, e
-		}
-		forShards(n, func(i int) {
-			outs[i] = outs[i][:0]
-			stats[i] = scanRange(view{frozen: snaps[i]}, q, 0, func(r Record) { outs[i] = append(outs[i], r) })
-		})
-		stable := true
-		for i, s := range targets {
-			if s.epoch.Load() != epochs[i] {
-				stable = false
-				break
+// add keeps the shard's records that Query.Filter accepts, in place,
+// and appends them to out; the first shard's slice becomes the result
+// as it is.
+func (s selectRead) add(out, part []Record) []Record {
+	if s.q.Filter != nil {
+		kept := part[:0]
+		for _, r := range part {
+			if s.q.Filter(r) {
+				kept = append(kept, r)
 			}
 		}
-		if !stable {
-			continue
-		}
-		var out []Record
-		var cost Cost
-		for i := range outs {
-			// Deterministic merge in shard order; Filter runs here, on
-			// the querying goroutine.
-			for _, r := range outs[i] {
-				if keep(r) {
-					out = append(out, r)
-				}
-			}
-			addCost(&cost, stats[i])
-		}
-		return out, cost, true
+		part = kept
 	}
-	return nil, Cost{}, false
+	if out == nil {
+		return part
+	}
+	return append(out, part...)
 }
 
-// selectMultiLocked serves a multi-shard query under all target shard
-// read locks (ascending order), which pins one consistent cut: a
-// cross-shard InsertBatch holds all its write locks until the last
-// sub-batch lands, so no reader on this path can see half a batch.
-// Unbudgeted queries scan the shards in parallel; budgeted queries scan
-// sequentially in shard order, handing each shard the budget the
-// previous ones left over, so NodesVisited never exceeds MaxNodes and
-// Truncated keeps its single-tree meaning.
-func (t *Table) selectMultiLocked(q Query, targets []*shard, keep func(Record) bool) ([]Record, Cost) {
-	rlockShards(targets)
-	defer runlockShards(targets)
-	if q.MaxNodes > 0 {
-		var out []Record
-		var cost Cost
-		emit := func(r Record) {
-			if keep(r) {
-				out = append(out, r)
-			}
+// cut is how a range read reaches its target shards as one consistent
+// state; readRange describes the three kinds.
+type cut struct {
+	targets []*shard
+	// pinned holds each target's pinned disk view on a lazy table.
+	pinned []shardView
+	// locked: the reader holds every target's read lock.
+	locked bool
+	every  uint64
+}
+
+// fresh reports whether every target has a fresh snapshot, without
+// which a fresh cut is not worth trying.
+func (c cut) fresh() bool {
+	for _, s := range c.targets {
+		if f, _ := s.loadFresh(); f == nil {
+			return false
 		}
-		remaining := q.MaxNodes
-		for _, s := range targets {
+	}
+	return true
+}
+
+// view returns the view the cut reads target i through, and for a
+// fresh cut the epoch to revalidate; ok=false when a fresh cut finds
+// the target stale.
+func (c cut) view(i int) (v view, epoch uint64, ok bool) {
+	switch {
+	case c.pinned != nil:
+		return view{disk: &c.pinned[i]}, 0, true
+	case c.locked:
+		return c.targets[i].rangerLocked(c.every), 0, true
+	}
+	f, e := c.targets[i].loadFresh()
+	return view{frozen: f}, e, f != nil
+}
+
+// readRange is the one driver of window and radius reads. It prunes to
+// the shards whose cell touches box and takes one consistent cut of
+// them, the first of three that applies:
+//
+//   - pinned, on a lazy table: under the targets' read locks, taken in
+//     ascending order, each run stack is pinned and each WAL tail
+//     folded (pinShards); the scan then holds no lock.
+//   - fresh: every target's fresh snapshot, read with no lock and
+//     revalidated against the shard epochs, so the merged result
+//     cannot straddle a cross-shard batch; tried twice.
+//   - locked: the targets' read locks in ascending order, under which
+//     each shard is read through rangerLocked's view. A cross-shard
+//     InsertBatch holds all its write locks until the last sub-batch
+//     lands, so this cut never sees half a batch either.
+//
+// A budgeted read (maxNodes > 0) scans the targets in shard order,
+// handing each the budget the previous ones left over, so NodesVisited
+// never exceeds maxNodes and Truncated keeps its single-tree meaning;
+// an unbudgeted one fans out over forShards. The result is the
+// per-shard results added in shard order, with the shards' Matched and
+// Cost summed.
+func readRange[R any, RR rangeRead[R]](t *Table, box geom.Rect, maxNodes int, rd RR) (res R, matched int, cost Cost, err error) {
+	c := cut{targets: t.shardsOverlapping(box), every: t.snapEvery}
+	if len(c.targets) == 0 {
+		return res, 0, Cost{}, nil
+	}
+	if t.lazyMode() {
+		c.pinned = t.pinShards(c.targets)
+		defer releaseViews(c.pinned)
+		t.fireCursorSeal(c.targets)
+		res, matched, cost, _, err = readCut(t, c, maxNodes, rd)
+		return res, matched, cost, err
+	}
+	for attempt := 0; attempt < 2 && c.fresh(); attempt++ {
+		if res, matched, cost, ok, err := readCut(t, c, maxNodes, rd); ok {
+			return res, matched, cost, err
+		}
+	}
+	c.locked = true
+	rlockShards(c.targets)
+	defer runlockShards(c.targets)
+	res, matched, cost, _, err = readCut(t, c, maxNodes, rd)
+	return res, matched, cost, err
+}
+
+// shardSlot is one target's part of a multi-shard read.
+type shardSlot[R any] struct {
+	res R
+	st  quadtree.RangeStats
+	err error
+	// epoch is the epoch a fresh cut loaded the snapshot at; ok=false
+	// when it found the shard stale.
+	epoch uint64
+	ok    bool
+}
+
+// readCut reads the targets of cut c with rd and returns the results
+// of the shards it scanned, added in shard order, with their summed
+// Matched and Cost. ok=false when a fresh cut saw a target change, so
+// the read must be retried on another cut.
+func readCut[R any, RR rangeRead[R]](t *Table, c cut, maxNodes int, rd RR) (res R, matched int, cost Cost, ok bool, err error) {
+	if len(c.targets) == 1 {
+		// One snapshot is a consistent cut by itself: no revalidation.
+		v, _, ok := c.view(0)
+		if !ok {
+			return res, 0, Cost{}, false, nil
+		}
+		r, st, err := rd.read(t, v, maxNodes)
+		return rd.add(res, r), st.Matched, costOf(st), true, err
+	}
+	slots := make([]shardSlot[R], len(c.targets))
+	read := func(i, budget int) {
+		sl := &slots[i]
+		var v view
+		if v, sl.epoch, sl.ok = c.view(i); sl.ok {
+			sl.res, sl.st, sl.err = rd.read(t, v, budget)
+		}
+	}
+	scanned := len(slots)
+	if maxNodes > 0 {
+		remaining := maxNodes
+		for i := range slots {
 			if remaining <= 0 {
-				// Budget exhausted with shards still unscanned: the
-				// result is partial even though the last scan stopped
-				// exactly at its bound.
+				// Budget exhausted with shards still unscanned: the result
+				// is partial even though the last scan stopped exactly at
+				// its bound.
 				cost.Truncated = true
+				scanned = i
 				break
 			}
-			st := scanRange(s.rangerLocked(t.snapEvery), q, remaining, emit)
-			addCost(&cost, st)
-			remaining -= st.NodesVisited
-			if st.Truncated {
+			read(i, remaining)
+			remaining -= slots[i].st.NodesVisited
+			if !slots[i].ok || slots[i].err != nil || slots[i].st.Truncated {
+				scanned = i + 1
 				break
 			}
 		}
-		return out, cost
+	} else {
+		forShards(len(slots), func(i int) { read(i, 0) })
 	}
-	n := len(targets)
-	outs := make([][]Record, n)
-	stats := make([]quadtree.RangeStats, n)
-	forShards(n, func(i int) {
-		stats[i] = scanRange(targets[i].rangerLocked(t.snapEvery), q, 0, func(r Record) { outs[i] = append(outs[i], r) })
-	})
-	var out []Record
-	var cost Cost
-	for i := range outs {
-		for _, r := range outs[i] {
-			if keep(r) {
-				out = append(out, r)
-			}
+	slots = slots[:scanned]
+	for i := range slots {
+		if !slots[i].ok || c.pinned == nil && !c.locked && c.targets[i].epoch.Load() != slots[i].epoch {
+			return res, 0, Cost{}, false, nil
 		}
-		addCost(&cost, stats[i])
 	}
-	return out, cost
+	for i := range slots {
+		sl := &slots[i]
+		matched += sl.st.Matched
+		addCost(&cost, sl.st)
+		if sl.err != nil {
+			return res, matched, cost, true, sl.err
+		}
+		res = rd.add(res, sl.res)
+	}
+	return res, matched, cost, true, nil
 }
 
 // selectNearest serves a k-nearest query. On a multi-shard table every
@@ -496,122 +576,23 @@ func (t *Table) selectNearest(spec NearestSpec, keep func(Record) bool) ([]Recor
 }
 
 // CountRange returns the number of records inside the closed window
-// with the measured cost, without materializing the records. It uses
-// the same budgeted traversal, shard pruning, budget hand-down, and
-// snapshot fast paths as a window Select — Cost.Truncated is reported
-// identically for the same window and budget — so on quiescent shards
-// it runs lock-free and allocation-free. A stale shard is counted under
-// its read lock as the snapshot's count plus its write delta's net
-// change, which allocates nothing either.
+// with the measured cost, without materializing the records. It is
+// the same readRange as a window Select — shard pruning, cuts, budget
+// hand-down — so Cost.Truncated is reported identically for the same
+// window and budget. A fresh shard is counted lock-free by the frozen
+// count kernel, a stale one under its read lock as the snapshot's
+// count plus its write delta's net change; a count confined to one
+// shard allocates nothing either way.
 func (t *Table) CountRange(window geom.Rect, maxNodes int) (int, Cost, error) {
 	if err := validateRegion(window); err != nil {
 		return 0, Cost{}, err
 	}
 	t.inj.Delay(faultinject.QueryLatency)
-	if t.lazyMode() {
-		return t.countLazy(window, maxNodes)
+	_, n, cost, err := readRange(t, window, maxNodes, countRead(window))
+	if err != nil {
+		return 0, cost, fmt.Errorf("spatialdb: count in %q: %w", t.name, err)
 	}
-	targets := t.shardsOverlapping(window)
-	switch len(targets) {
-	case 0:
-		return 0, Cost{}, nil
-	case 1:
-		s := targets[0]
-		if f, _ := s.loadFresh(); f != nil {
-			st := f.CountRangeBudgeted(window, maxNodes)
-			return st.Matched, costOf(st), nil
-		}
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		st := s.rangerLocked(t.snapEvery).countRangeBudgeted(window, maxNodes)
-		return st.Matched, costOf(st), nil
-	}
-	if maxNodes <= 0 {
-		if cnt, cost, ok := t.countMultiFast(window, targets); ok {
-			return cnt, cost, nil
-		}
-	}
-	cnt, cost := t.countMultiLocked(window, targets, maxNodes)
-	return cnt, cost, nil
-}
-
-// countMultiFast is the counting twin of selectMultiFast: parallel
-// lock-free counts off fresh snapshots, revalidated against the shard
-// epochs.
-func (t *Table) countMultiFast(window geom.Rect, targets []*shard) (int, Cost, bool) {
-	n := len(targets)
-	snaps := make([]*linearquad.Frozen[Record], n)
-	epochs := make([]uint64, n)
-	stats := make([]quadtree.RangeStats, n)
-	for attempt := 0; attempt < 2; attempt++ {
-		for i, s := range targets {
-			f, e := s.loadFresh()
-			if f == nil {
-				return 0, Cost{}, false
-			}
-			snaps[i], epochs[i] = f, e
-		}
-		forShards(n, func(i int) {
-			stats[i] = snaps[i].CountRangeBudgeted(window, 0)
-		})
-		stable := true
-		for i, s := range targets {
-			if s.epoch.Load() != epochs[i] {
-				stable = false
-				break
-			}
-		}
-		if !stable {
-			continue
-		}
-		cnt := 0
-		var cost Cost
-		for i := range stats {
-			cnt += stats[i].Matched
-			addCost(&cost, stats[i])
-		}
-		return cnt, cost, true
-	}
-	return 0, Cost{}, false
-}
-
-// countMultiLocked is the counting twin of selectMultiLocked:
-// sequential budget hand-down when bounded, parallel otherwise, all
-// under the target shards' read locks.
-func (t *Table) countMultiLocked(window geom.Rect, targets []*shard, maxNodes int) (int, Cost) {
-	rlockShards(targets)
-	defer runlockShards(targets)
-	if maxNodes > 0 {
-		cnt := 0
-		var cost Cost
-		remaining := maxNodes
-		for _, s := range targets {
-			if remaining <= 0 {
-				cost.Truncated = true
-				break
-			}
-			st := s.rangerLocked(t.snapEvery).countRangeBudgeted(window, remaining)
-			cnt += st.Matched
-			addCost(&cost, st)
-			remaining -= st.NodesVisited
-			if st.Truncated {
-				break
-			}
-		}
-		return cnt, cost
-	}
-	n := len(targets)
-	stats := make([]quadtree.RangeStats, n)
-	forShards(n, func(i int) {
-		stats[i] = targets[i].rangerLocked(t.snapEvery).countRangeBudgeted(window, 0)
-	})
-	cnt := 0
-	var cost Cost
-	for i := range stats {
-		cnt += stats[i].Matched
-		addCost(&cost, stats[i])
-	}
-	return cnt, cost
+	return n, cost, nil
 }
 
 // Estimate is the model-based prediction Explain produces.

@@ -1,15 +1,15 @@
 package spatialdb
 
-// The disk read path of a lazy durable table: Select, CountRange, and
-// nearest answered by streaming a k-way merged cursor over each pinned
-// shard's run stack plus its WAL-tail delta, jumping over Z-interval
-// gaps with BIGMIN so a window scan loads O(matching blocks) rather
-// than the whole interval. A query pins its shards once (stack
-// references plus a folded tail snapshot, taken under the shard read
-// locks so a cross-shard batch can never be seen half-applied), then
-// scans entirely lock-free — flushes and compactions proceed
-// underneath, and the pinned readers stay valid until the query
-// releases them.
+// The disk read path of a lazy durable table: the per-shard scans
+// behind Select, CountRange, and nearest, which stream a k-way merged
+// cursor over each pinned shard's run stack plus its WAL-tail delta,
+// jumping over Z-interval gaps with BIGMIN so a window scan loads
+// O(matching blocks) rather than the whole interval. A query pins its
+// shards once (stack references plus a folded tail snapshot, taken
+// under the shard read locks so a cross-shard batch can never be seen
+// half-applied; readRange's pinned cut), then scans entirely lock-free
+// — flushes and compactions proceed underneath, and the pinned readers
+// stay valid until the query releases them.
 
 import (
 	"fmt"
@@ -31,37 +31,20 @@ type shardView struct {
 	tail []segment.Entry
 }
 
-// shardIndicesOverlapping returns the indices of shards whose cell
-// touches the closed query rectangle, ascending (see shardsOverlapping
-// for the predicate contract).
-func (t *Table) shardIndicesOverlapping(query geom.Rect) []int {
-	out := make([]int, 0, 4)
-	for si, s := range t.shards {
-		if s.region.OverlapsClosed(query) {
-			out = append(out, si)
-		}
+// pinShards takes a consistent cut of the target shards (ascending,
+// as shardsOverlapping returns them) for a disk query: under every
+// target's read lock it folds each tail to sorted entries and acquires
+// each run stack. A cross-shard InsertBatch holds all its write locks
+// until the last sub-batch lands, so the cut can never straddle a
+// batch. The locks are released before scanning; the returned views
+// are immutable.
+func (t *Table) pinShards(targets []*shard) []shardView {
+	rlockShards(targets)
+	views := make([]shardView, len(targets))
+	for i, s := range targets {
+		views[i] = shardView{s: s, runs: t.dur.shards[s.si].acquireStack(), tail: tailEntries(s)}
 	}
-	return out
-}
-
-// pinShards takes a consistent cut of the given shards for a disk
-// query: under every target's read lock (ascending, the table-wide
-// order) it folds each tail to sorted entries and acquires each run
-// stack. A cross-shard InsertBatch holds all its write locks until the
-// last sub-batch lands, so the cut can never straddle a batch. The
-// locks are released before scanning; the returned views are immutable.
-func (t *Table) pinShards(sis []int) []shardView {
-	shards := make([]*shard, len(sis))
-	for i, si := range sis {
-		shards[i] = t.shards[si]
-	}
-	rlockShards(shards)
-	views := make([]shardView, len(sis))
-	for i, si := range sis {
-		s := t.shards[si]
-		views[i] = shardView{s: s, runs: t.dur.shards[si].acquireStack(), tail: tailEntries(s)}
-	}
-	runlockShards(shards)
+	runlockShards(targets)
 	return views
 }
 
@@ -107,14 +90,14 @@ func tailEntries(s *shard) []segment.Entry {
 // pinned its view — the schedule where a cursor mid-merge must keep
 // serving the pinned state while the ladder grows underneath it. Called
 // with no locks held.
-func (t *Table) fireCursorSeal(sis []int) {
+func (t *Table) fireCursorSeal(targets []*shard) {
 	if !t.inj.Fire(faultinject.DiskCursorSeal) {
 		return
 	}
-	for _, si := range sis {
+	for _, s := range targets {
 		// Best-effort, like the background worker: a failed seal leaves
 		// the WAL covering its records.
-		_ = t.flushShard(si)
+		_ = t.flushShard(s.si)
 	}
 }
 
@@ -130,7 +113,7 @@ func (t *Table) fireCursorSeal(sis []int) {
 // merged entries examined, LeavesVisited blocks consulted,
 // RecordsScanned candidates inside the cell rectangle. maxNodes > 0
 // bounds the entries examined; exhaustion sets Truncated.
-func (t *Table) scanZRange(v shardView, box geom.Rect, maxNodes int, visit func(segment.Entry) bool) (quadtree.RangeStats, error) {
+func (t *Table) scanZRange(v *shardView, box geom.Rect, maxNodes int, visit func(segment.Entry) bool) (quadtree.RangeStats, error) {
 	var st quadtree.RangeStats
 	zmin := v.s.coder.Code(geom.Pt(box.MinX, box.MinY))
 	zmax := v.s.coder.Code(geom.Pt(box.MaxX, box.MaxY))
@@ -197,7 +180,7 @@ func (t *Table) scanZRange(v shardView, box geom.Rect, maxNodes int, visit func(
 
 // selectShardDisk runs the window or radius scan of q over one pinned
 // view, delivering spatially matching decoded records to emit.
-func (t *Table) selectShardDisk(v shardView, q Query, maxNodes int, emit func(Record)) (quadtree.RangeStats, error) {
+func (t *Table) selectShardDisk(v *shardView, q Query, maxNodes int, emit func(Record)) (quadtree.RangeStats, error) {
 	within := q.Within
 	var r2 float64
 	if within != nil {
@@ -227,130 +210,18 @@ func (t *Table) selectShardDisk(v shardView, q Query, maxNodes int, emit func(Re
 	return st, err
 }
 
-// selectLazy serves Select on a lazy table. Budgeted queries scan the
-// pinned shards sequentially, handing down the leftover budget exactly
-// like selectMultiLocked; unbudgeted queries fan out across the worker
-// pool and merge in shard order, with Query.Filter running on the
-// querying goroutine.
-func (t *Table) selectLazy(q Query, keep func(Record) bool) ([]Record, Cost, error) {
-	if q.Nearest != nil {
-		return t.nearestDisk(*q.Nearest, keep)
-	}
-	box := queryBox(q)
-	sis := t.shardIndicesOverlapping(box)
-	if len(sis) == 0 {
-		return nil, Cost{}, nil
-	}
-	views := t.pinShards(sis)
-	defer releaseViews(views)
-	t.fireCursorSeal(sis)
-	var cost Cost
-	if q.MaxNodes > 0 {
-		var out []Record
-		emit := func(r Record) {
-			if keep(r) {
-				out = append(out, r)
-			}
-		}
-		remaining := q.MaxNodes
-		for _, v := range views {
-			if remaining <= 0 {
-				cost.Truncated = true
-				break
-			}
-			st, err := t.selectShardDisk(v, q, remaining, emit)
-			addCost(&cost, st)
-			if err != nil {
-				return nil, cost, fmt.Errorf("spatialdb: select from %q: %w", t.name, err)
-			}
-			remaining -= st.NodesVisited
-			if st.Truncated {
-				break
-			}
-		}
-		return out, cost, nil
-	}
-	n := len(views)
-	outs := make([][]Record, n)
-	stats := make([]quadtree.RangeStats, n)
-	errs := make([]error, n)
-	forShards(n, func(i int) {
-		stats[i], errs[i] = t.selectShardDisk(views[i], q, 0, func(r Record) { outs[i] = append(outs[i], r) })
-	})
-	var out []Record
-	for i := range outs {
-		addCost(&cost, stats[i])
-		if errs[i] != nil {
-			return nil, cost, fmt.Errorf("spatialdb: select from %q: %w", t.name, errs[i])
-		}
-		for _, r := range outs[i] {
-			if keep(r) {
-				out = append(out, r)
-			}
-		}
-	}
-	return out, cost, nil
-}
-
-// countLazy serves CountRange on a lazy table with the same pinning,
-// budget hand-down, and fan-out shapes as selectLazy, without decoding
-// a single payload.
-func (t *Table) countLazy(window geom.Rect, maxNodes int) (int, Cost, error) {
-	sis := t.shardIndicesOverlapping(window)
-	if len(sis) == 0 {
-		return 0, Cost{}, nil
-	}
-	views := t.pinShards(sis)
-	defer releaseViews(views)
-	t.fireCursorSeal(sis)
-	countShard := func(v shardView, budget int) (int, quadtree.RangeStats, error) {
-		cnt := 0
-		st, err := t.scanZRange(v, window, budget, func(e segment.Entry) bool {
-			if window.ContainsClosed(geom.Pt(e.X, e.Y)) {
-				cnt++
-			}
-			return true
-		})
-		return cnt, st, err
-	}
-	var cost Cost
-	if maxNodes > 0 {
-		cnt := 0
-		remaining := maxNodes
-		for _, v := range views {
-			if remaining <= 0 {
-				cost.Truncated = true
-				break
-			}
-			c, st, err := countShard(v, remaining)
-			cnt += c
-			addCost(&cost, st)
-			if err != nil {
-				return 0, cost, fmt.Errorf("spatialdb: count in %q: %w", t.name, err)
-			}
-			remaining -= st.NodesVisited
-			if st.Truncated {
-				break
-			}
-		}
-		return cnt, cost, nil
-	}
-	n := len(views)
-	cnts := make([]int, n)
-	stats := make([]quadtree.RangeStats, n)
-	errs := make([]error, n)
-	forShards(n, func(i int) {
-		cnts[i], stats[i], errs[i] = countShard(views[i], 0)
-	})
+// countDisk counts one pinned view's records inside the closed window
+// without decoding a payload; the count is RangeStats.Matched.
+func (t *Table) countDisk(v *shardView, window geom.Rect, maxNodes int) (quadtree.RangeStats, error) {
 	cnt := 0
-	for i := range cnts {
-		addCost(&cost, stats[i])
-		if errs[i] != nil {
-			return 0, cost, fmt.Errorf("spatialdb: count in %q: %w", t.name, errs[i])
+	st, err := t.scanZRange(v, window, maxNodes, func(e segment.Entry) bool {
+		if window.ContainsClosed(geom.Pt(e.X, e.Y)) {
+			cnt++
 		}
-		cnt += cnts[i]
-	}
-	return cnt, cost, nil
+		return true
+	})
+	st.Matched = cnt
+	return st, err
 }
 
 // nearestDisk serves a k-nearest query from the pinned views with an
@@ -362,13 +233,9 @@ func (t *Table) countLazy(window geom.Rect, maxNodes int) (int, Cost, error) {
 // deterministic order as the in-memory multi-shard path — with
 // Query.Filter applied after the top-K cut, matching selectNearest.
 func (t *Table) nearestDisk(spec NearestSpec, keep func(Record) bool) ([]Record, Cost, error) {
-	sis := make([]int, len(t.shards))
-	for i := range sis {
-		sis[i] = i
-	}
-	views := t.pinShards(sis)
+	views := t.pinShards(t.shards)
 	defer releaseViews(views)
-	t.fireCursorSeal(sis)
+	t.fireCursorSeal(t.shards)
 
 	r0 := math.Max(t.region.MaxX-t.region.MinX, t.region.MaxY-t.region.MinY) / 64
 	type cand struct {
@@ -382,11 +249,11 @@ func (t *Table) nearestDisk(spec NearestSpec, keep func(Record) bool) ([]Record,
 			box.MaxX >= t.region.MaxX && box.MaxY >= t.region.MaxY
 		r2 := r * r
 		var cands []cand
-		for _, v := range views {
-			if !v.s.region.OverlapsClosed(box) {
+		for i := range views {
+			if !views[i].s.region.OverlapsClosed(box) {
 				continue
 			}
-			st, err := t.scanZRange(v, box, 0, func(e segment.Entry) bool {
+			st, err := t.scanZRange(&views[i], box, 0, func(e segment.Entry) bool {
 				p := geom.Pt(e.X, e.Y)
 				if box.ContainsClosed(p) {
 					cands = append(cands, cand{e, p.Dist2(spec.At)})

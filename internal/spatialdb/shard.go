@@ -152,8 +152,10 @@ func (d *writeDelta) replaced(p geom.Point) bool {
 // frozen snapshot, so writes to one region of space never contend with
 // writes — or snapshot rebuilds — in another.
 type shard struct {
-	// region is this shard's level-k cell; immutable.
+	// region is this shard's level-k cell and si its index in
+	// Table.shards (the cell's locational code); both immutable.
 	region geom.Rect
+	si     int
 	inj    *faultinject.Injector
 
 	// mu guards index. The single table-wide lock order is: shard

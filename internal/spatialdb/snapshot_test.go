@@ -121,6 +121,34 @@ func TestSelectServesFromSnapshotWithoutTableLock(t *testing.T) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
+
+	// A budgeted window read takes the same lock-free cut.
+	lockShards(tab.shards)
+	done3 := make(chan struct{})
+	var budRecs []Record
+	var budN int
+	var selCost, cntCost Cost
+	go func() {
+		defer close(done3)
+		budRecs, selCost, serr = tab.Select(Query{Window: &window, MaxNodes: 50})
+		if serr == nil {
+			budN, cntCost, serr = tab.CountRange(window, 50)
+		}
+	}()
+	select {
+	case <-done3:
+	case <-time.After(2 * time.Second):
+		unlockShards(tab.shards)
+		t.Fatal("budgeted Select/CountRange blocked on a shard RWMutex")
+	}
+	unlockShards(tab.shards)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if budN != len(budRecs) || !selCost.Truncated || !cntCost.Truncated ||
+		selCost.NodesVisited > 50 || cntCost.NodesVisited != selCost.NodesVisited {
+		t.Fatalf("budgeted reads disagree: Select %d records %+v, CountRange %d %+v", len(budRecs), selCost, budN, cntCost)
+	}
 }
 
 // TestSnapshotStaleFallsBackToLiveTree: after a mutation the snapshot
@@ -310,6 +338,26 @@ func TestCountRangeTruncationConsistency(t *testing.T) {
 			if cntCost.NodesVisited != selCost.NodesVisited {
 				t.Fatalf("budget=%d compacted=%v: NodesVisited %d != %d",
 					budget, compacted, cntCost.NodesVisited, selCost.NodesVisited)
+			}
+		}
+	}
+
+	// The same agreement on a lazy table, whose disk cut hands the budget
+	// down across its pinned shards.
+	lazy, _ := buildLazyLadder(t, NewDB(), t.TempDir(), TableOptions{Capacity: 4, ShardBits: 2}, DurableOptions{})
+	defer lazy.Close()
+	for _, w := range []geom.Rect{window, geom.R(0.3, 0.05, 0.6, 0.95)} {
+		for _, budget := range []int{0, 1, 5, 50, 1 << 20} {
+			recs, selCost, err := lazy.Select(Query{Window: &w, MaxNodes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, cntCost, err := lazy.CountRange(w, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(recs) || cntCost.Truncated != selCost.Truncated || cntCost.NodesVisited != selCost.NodesVisited {
+				t.Fatalf("lazy window=%v budget=%d: CountRange %d %+v, Select %d %+v", w, budget, n, cntCost, len(recs), selCost)
 			}
 		}
 	}

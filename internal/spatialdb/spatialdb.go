@@ -350,6 +350,7 @@ func (db *DB) buildTable(name string, opts TableOptions, region geom.Rect, bits 
 		}
 		t.shards[i] = &shard{
 			region: cell,
+			si:     i,
 			inj:    db.inj,
 			index:  idx,
 			coder:  linearquad.NewCellCoder(cell, linearquad.MaxDepth),
